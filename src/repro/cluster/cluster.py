@@ -258,22 +258,6 @@ class DeviceCluster:
         """Scatter-gather ``query`` across the cluster (see executor)."""
         return self.executor.run(query, ctx=ctx, split_index=split_index)
 
-    def device_load(self, kernel, index):
-        """Device ``index``'s :class:`~repro.core.DeviceLoad` snapshot."""
-        def _utilization(resource):
-            horizon = max(kernel.now, resource.free_at)
-            if horizon <= 0:
-                return 0.0
-            return min(1.0, resource.busy_time / horizon)
-
-        device = self.devices[index]
-        return DeviceLoad(
-            core_utilization=_utilization(kernel.cores[index]),
-            link_utilization=_utilization(kernel.links[index]),
-            reserved_fraction=(device.reserved_bytes
-                               / max(1, device.buffer_budget)),
-        )
-
 
 class _RunState:
     """Mutable state of one scatter-gather run."""
@@ -380,7 +364,9 @@ class ScatterGatherExecutor:
         """The Hk each partition runs, or None for host placement."""
         if split_index is not None:
             return min(split_index, plan.table_count - 1)
-        load = self.cluster.device_load(kernel, index)
+        load = DeviceLoad.measure(kernel.now, kernel.cores[index],
+                                  kernel.links[index],
+                                  self.cluster.devices[index])
         decision = self.cluster.env.planner.decide(
             plan, context=PlanningContext(device_load=load))
         if decision.strategy is ExecutionStrategy.HOST_ONLY:

@@ -45,6 +45,28 @@ class DeviceLoad:
     reserved_fraction: float = 0.0   # device DRAM budget already reserved
     inflight: int = 0                # queries currently using the device
 
+    @classmethod
+    def measure(cls, now, core, link, device, inflight=0):
+        """``device``'s pressure at simulated time ``now``.
+
+        ``core`` and ``link`` are the device's busy resources on the sim
+        kernel.  Utilization is busy time over the horizon each resource
+        is booked until — counting work already committed to the
+        future, which is what the *next* query will actually contend
+        with.
+        """
+        def _utilization(resource):
+            horizon = max(now, resource.free_at)
+            if horizon <= 0:
+                return 0.0
+            return min(1.0, resource.busy_time / horizon)
+
+        return cls(core_utilization=_utilization(core),
+                   link_utilization=_utilization(link),
+                   reserved_fraction=(device.reserved_bytes
+                                      / max(1, device.buffer_budget)),
+                   inflight=inflight)
+
     def compute_scale(self):
         """Inflation for on-device compute terms.
 

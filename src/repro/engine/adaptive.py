@@ -13,10 +13,12 @@ report's ``total_time`` and recorded in its ``adaptivity`` audit block.
 
 The concurrent analogue — re-planning under load, with saturation
 shedding — lives in :class:`repro.sched.WorkloadScheduler`
-(``correction=`` / ``replan=``); this module is the serial driver the
-regret bench (:mod:`repro.bench.adaptive`) measures.
+(``correction=`` / ``replan=``) and judges breakers with the same
+:class:`_BreakerMonitor`; this module is the serial runner the regret
+bench (:mod:`repro.bench.adaptive`) measures.
 """
 
+from repro.context import ExecutionContext
 from repro.core import (CardinalityFeedback, CostCorrection,
                         ExecutionStrategy, PlanningContext, ReplanPolicy)
 from repro.engine.stacks import Stack
@@ -24,36 +26,49 @@ from repro.errors import ReplanTriggered, RetriesExhaustedError
 
 
 class _BreakerMonitor:
-    """The ``breaker_hook`` driving one execution attempt.
+    """Turns pipeline-breaker observations into re-planning decisions.
 
-    Fires at every pipeline breaker (a device batch landing host-side).
-    Extrapolates the intermediate-result cardinality from the batches
-    observed so far, compares it against the estimate baked into the
-    decision, and past the policy threshold asks the decision to
-    ``revise(feedback)`` itself.  A revision that changes the placement
-    cancels the simulation with reason ``"replan"`` — which makes
-    ``run_split`` raise :class:`~repro.errors.ReplanTriggered` — and
-    leaves ``revised`` / ``feedback`` / ``estimate`` for the driver.
+    One monitor watches one execution attempt of ``decision``; the
+    serial runner and the workload scheduler both use it.
+    :class:`AdaptiveRunner` installs the monitor itself as the
+    ``breaker_hook``; the scheduler calls :meth:`observe` from its own
+    hook, passing the device-saturation reading only it can take.  ``events`` is the run's audit trail,
+    shared across attempts: its length is the revisions already spent
+    against ``policy.max_replans``.
     """
 
-    def __init__(self, decision, policy, budget):
+    def __init__(self, decision, policy, events):
         self.decision = decision
         self.policy = policy
-        self.budget = budget         # revisions this attempt may spend
+        self.events = events
         self.estimate = None
         self.feedback = None
         self.revised = None
-        self.events = []
 
-    def __call__(self, sim, i):
-        if self.budget <= 0 or self.revised is not None:
-            return
+    def observe(self, sim, i, saturated=None):
+        """Judge breaker ``i`` of ``sim``; the event of a move, or None.
+
+        Extrapolates the intermediate-result cardinality from the
+        batches observed so far (exact once the device fragment
+        finished — it executes eagerly and announces the batch count
+        with the first push), compares it against the estimate baked
+        into the decision, and — past the policy threshold or on device
+        saturation — asks the decision to ``revise(feedback)`` itself.
+        A revision that still prefers the running plan is audited as
+        ``"kept"`` and spends budget.  One that changes the placement is
+        left in ``revised`` / ``feedback`` / ``estimate``, and its event
+        is returned for the caller to record once it has acted on it.
+        ``saturated`` is None for the serial runner, whose events carry
+        no ``device_saturated`` key.
+        """
+        if len(self.events) >= self.policy.max_replans:
+            return None
         batches_seen = i + 1
         if batches_seen < self.policy.min_batches:
-            return
+            return None
         estimate = self.decision.estimate_for()
         if estimate.intermediate_rows is None:
-            return
+            return None
         observed_so_far = sum(len(batch)
                               for batch in sim.batches[:batches_seen])
         observed_total = int(round(observed_so_far * sim.n_batches
@@ -64,9 +79,10 @@ class _BreakerMonitor:
             batches_observed=batches_seen,
             batches_total=sim.n_batches,
             raw_rows=estimate.raw_rows,
-            at=sim.clock.now)
-        if feedback.error < self.policy.error_threshold:
-            return
+            at=sim.clock.now,
+            device_saturated=bool(saturated))
+        if feedback.error < self.policy.error_threshold and not saturated:
+            return None
         revised = self.decision.revise(feedback)
         event = {
             "at": sim.clock.now,
@@ -75,25 +91,47 @@ class _BreakerMonitor:
             "observed_rows": observed_total,
             "estimated_rows": estimate.intermediate_rows,
             "error": round(feedback.error, 6),
-            "from": self.decision.strategy_name,
-            "to": revised.strategy_name,
         }
-        self.budget -= 1
+        if saturated is not None:
+            event["device_saturated"] = saturated
+        event["from"] = self.decision.strategy_name
+        event["to"] = revised.strategy_name
         if revised.strategy_name == self.decision.strategy_name:
             # Re-pricing with the observed cardinality still prefers
             # the running plan: audit it, keep going.
             event["action"] = "kept"
             self.events.append(event)
-            return
+            return None
         event["action"] = ("shed-to-host"
                            if revised.strategy is ExecutionStrategy.HOST_ONLY
                            or revised.split_index is None
                            else "shift-split")
-        self.events.append(event)
         self.estimate = estimate
         self.feedback = feedback
         self.revised = revised
-        sim.cancel(sim.clock.now, reason="replan")
+        return event
+
+    def __call__(self, sim, i):
+        """The serial ``breaker_hook``: a placement change cancels the
+        simulation with reason ``"replan"``, which makes ``run_split``
+        raise :class:`~repro.errors.ReplanTriggered`."""
+        event = self.observe(sim, i)
+        if event is not None:
+            self.events.append(event)
+            sim.cancel(sim.clock.now, reason="replan")
+
+    @staticmethod
+    def audit(events, wasted_time, correction, key):
+        """A report's ``adaptivity`` block (docs/adaptivity.md)."""
+        return {
+            "enabled": True,
+            "replans": len(events),
+            "correction_factor": (correction.factor(key)
+                                  if correction is not None
+                                  and key is not None else 1.0),
+            "wasted_time": wasted_time,
+            "events": list(events),
+        }
 
 
 class AdaptiveRunner:
@@ -123,12 +161,12 @@ class AdaptiveRunner:
         ``total_time``, and the correction factor the *next* run of the
         same SQL will plan under.
         """
+        ctx = ExecutionContext.coerce(ctx)
         key = query if isinstance(query, str) else None
         plan = self.runner.plan(query) if isinstance(query, str) else query
         context = PlanningContext(correction=self.correction, key=key,
                                   replan=self.policy)
-        decision = self.planner.decide(plan, context=context)
-        current = decision
+        current = self.planner.decide(plan, context=context)
         events = []
         wasted = 0.0
         observed_pair = None     # (raw_rows estimate, observed rows)
@@ -137,47 +175,30 @@ class AdaptiveRunner:
                     or current.split_index is None):
                 report = self.runner.run(plan, Stack.NATIVE, ctx=ctx)
                 break
-            monitor = _BreakerMonitor(
-                current, self.policy,
-                budget=self.policy.max_replans - len(events))
+            monitor = _BreakerMonitor(current, self.policy, events)
             try:
                 report = self.runner.cooperative.run_split(
                     plan, current.split_index, ctx,
                     breaker_hook=monitor)
-                events.extend(monitor.events)
                 estimate = current.estimate_for()
                 if estimate.raw_rows is not None:
                     observed_pair = (estimate.raw_rows,
                                      report.intermediate_rows)
                 break
             except ReplanTriggered as signal:
-                events.extend(monitor.events)
                 wasted += signal.elapsed
                 observed_pair = (monitor.estimate.raw_rows,
                                  monitor.feedback.observed_rows)
                 current = monitor.revised
             except RetriesExhaustedError as failure:
-                # Graceful degradation, mirroring StackRunner's host
-                # fallback: correct rows, honest timeline.
-                events.extend(monitor.events)
-                report = self.runner.run(plan, Stack.NATIVE, ctx=ctx)
-                report.fallback_from = failure.strategy
-                report.retries = failure.retries
-                report.faults_injected = dict(failure.faults_injected)
-                report.wasted_device_time = failure.wasted_time
-                report.total_time += failure.wasted_time
+                report = self.runner._host_fallback(plan, failure,
+                                                    ctx.tracer)
                 break
         if (key is not None and observed_pair is not None
                 and observed_pair[0] is not None):
             self.correction.observe(key, *observed_pair)
         # The cancelled attempts ran before the final plan started.
         report.total_time += wasted
-        report.adaptivity = {
-            "enabled": True,
-            "replans": len(events),
-            "correction_factor": (self.correction.factor(key)
-                                  if key is not None else 1.0),
-            "wasted_time": wasted,
-            "events": events,
-        }
+        report.adaptivity = _BreakerMonitor.audit(events, wasted,
+                                                  self.correction, key)
         return report

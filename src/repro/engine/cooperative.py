@@ -26,7 +26,7 @@ link/core/CPU and the same device DRAM budget.
 
 import math
 
-from repro.context import ExecutionContext, reject_removed_kwargs
+from repro.context import ExecutionContext
 from repro.engine.counters import WorkCounters
 from repro.engine.results import ExecutionReport, QueryResult, TimelinePhase
 from repro.engine.timing import ExecutionLocation
@@ -747,16 +747,14 @@ class CooperativeExecutor:
     # ------------------------------------------------------------------
     # Hybrid split execution
     # ------------------------------------------------------------------
-    def run_split(self, plan, split_index, ctx=None, breaker_hook=None,
-                  **removed):
+    def run_split(self, plan, split_index, ctx=None, breaker_hook=None):
         """Execute the plan with split point ``H{split_index}``.
 
         ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
-        run's tracer, fault plan and retry policy — the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
-        Tracing records the run as structured spans; faults degrade the
-        run — transient submission failures retry with backoff in
-        simulated time, and exhausting the retries raises
+        run's tracer, fault plan and retry policy.  Tracing records the
+        run as structured spans; faults degrade the run — transient
+        submission failures retry with backoff in simulated time, and
+        exhausting the retries raises
         :class:`~repro.errors.RetriesExhaustedError` for the caller's
         host fallback.
 
@@ -765,7 +763,6 @@ class CooperativeExecutor:
         simulation makes this method raise
         :class:`~repro.errors.ReplanTriggered` for the adaptive driver.
         """
-        reject_removed_kwargs("CooperativeExecutor.run_split", removed)
         ctx = ExecutionContext.coerce(ctx)
         tracer = ctx.sim_tracer()
         injector = ctx.injector()
@@ -899,13 +896,11 @@ class CooperativeExecutor:
     # ------------------------------------------------------------------
     # Full NDP execution
     # ------------------------------------------------------------------
-    def run_full_ndp(self, plan, ctx=None, **removed):
+    def run_full_ndp(self, plan, ctx=None):
         """Execute the whole QEP on the device (aggregation included).
 
-        ``ctx`` carries tracer/faults like :meth:`run_split`; the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
+        ``ctx`` carries tracer/faults like :meth:`run_split`.
         """
-        reject_removed_kwargs("CooperativeExecutor.run_full_ndp", removed)
         ctx = ExecutionContext.coerce(ctx)
         tracer = ctx.sim_tracer()
         injector = ctx.injector()

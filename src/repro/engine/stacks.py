@@ -12,7 +12,7 @@ query (SQL or prebuilt plan) on any stack, returning an
 
 import enum
 
-from repro.context import ExecutionContext, reject_removed_kwargs
+from repro.context import ExecutionContext
 from repro.engine.cooperative import (EXEC_TRACK, HOST_RESOURCE,
                                       CooperativeExecutor)
 from repro.engine.host import HostEngine, HostEngineConfig
@@ -130,21 +130,19 @@ class StackRunner:
             "entries": len(self._plan_cache),
         }
 
-    def run(self, query, stack, split_index=None, ctx=None, **removed):
+    def run(self, query, stack, split_index=None, ctx=None):
         """Execute ``query`` (SQL text or QueryPlan) on ``stack``.
 
         For ``Stack.HYBRID`` a ``split_index`` (the k of Hk) is required.
         ``ctx`` (an :class:`~repro.context.ExecutionContext`) carries the
-        run's tracer, fault plan and retry policy — the legacy
-        ``tracer=`` / ``faults=`` keywords were removed and raise.
-        Tracing records the execution as structured spans for the
-        Perfetto exporter at zero cost when absent.  A fault plan
-        degrades NDP/hybrid runs deterministically; when an offload
-        exhausts its retries the runner falls back to host-only
-        execution mid-query and the report records the degradation
-        (``fallback_from``, ``retries``, ``wasted_device_time``).
+        run's tracer, fault plan and retry policy.  Tracing records the
+        execution as structured spans for the Perfetto exporter at zero
+        cost when absent.  A fault plan degrades NDP/hybrid runs
+        deterministically; when an offload exhausts its retries the
+        runner falls back to host-only execution mid-query and the
+        report records the degradation (``fallback_from``, ``retries``,
+        ``wasted_device_time``).
         """
-        reject_removed_kwargs("StackRunner.run", removed)
         ctx = ExecutionContext.coerce(ctx)
         plan = self.plan(query) if isinstance(query, str) else query
         if stack is Stack.BLK:
@@ -217,7 +215,7 @@ class StackRunner:
             report.trace_metrics = tracer.metrics()
         return report
 
-    def run_all_splits(self, query, ctx_factory=None, **removed):
+    def run_all_splits(self, query, ctx_factory=None):
         """Run every strategy: BLK, H0..H(n-1), full NDP.
 
         Returns ``{strategy_name: ExecutionReport}`` — the raw material
@@ -230,10 +228,8 @@ class StackRunner:
         ``ctx_factory(strategy_name)`` — when given — is called once per
         strategy and must return an
         :class:`~repro.context.ExecutionContext` (or ``None``); the sweep
-        layer uses it to emit one Perfetto trace per strategy.  The
-        legacy ``tracer_factory=`` hook was removed and raises.
+        layer uses it to emit one Perfetto trace per strategy.
         """
-        reject_removed_kwargs("StackRunner.run_all_splits", removed)
 
         def _ctx(name):
             ctx = ctx_factory(name) if ctx_factory else None

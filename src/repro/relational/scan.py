@@ -1,30 +1,14 @@
 """The consolidated scan-parameter surface: :class:`ScanRequest`.
 
-Before this module, ``Table.scan`` and ``SnapshotTable.scan`` had grown
-a sprawl of keywords (``predicate=``, ``projection=``, ``stats=``,
-``pk_lo=``/``pk_hi=``, per-call shard pruning at the call sites).  Every
-scan now takes a single frozen :class:`ScanRequest`; passing the old
-keywords raises a :class:`~repro.errors.ReproError` naming the
-replacement field, mirroring the ``ctx=`` migration in
-:mod:`repro.context`.
+Every table scan (``scan``, ``scan_batch``, ``scan_raw`` on both
+:class:`~repro.relational.table.RelationalTable` and
+:class:`~repro.relational.snapshot_table.SnapshotTable`) takes a single
+frozen :class:`ScanRequest` instead of a sprawl of keywords.
 """
 
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-
-#: Former ``scan()`` keyword arguments and the ScanRequest field that
-#: replaced each one.
-_REMOVED_SCAN_KWARGS = {
-    "predicate": "ScanRequest(predicate=...)",
-    "projection": "ScanRequest(projection=...)",
-    "stats": "ScanRequest(stats=...)",
-    "columns": "ScanRequest(columns=...)",
-    "qualified_as": "ScanRequest(qualified_as=...)",
-    "pk_lo": "ScanRequest(pk_lo=...)",
-    "pk_hi": "ScanRequest(pk_hi=...)",
-    "shard": "ScanRequest(shard=...)",
-}
 
 
 @dataclass(frozen=True)
@@ -59,24 +43,12 @@ class ScanRequest:
     projection: tuple = None
 
 
-def check_scan_args(where, request, kwargs):
-    """Validate the migrated ``scan(request)`` call surface.
+def check_scan_args(where, request):
+    """Validate a ``scan(request)`` argument.
 
-    Rejects the pre-ScanRequest keywords with an error naming the
-    replacement field (the ``reject_removed_kwargs`` pattern from
-    :mod:`repro.context`), rejects positional arguments that are not a
-    :class:`ScanRequest`, and returns the request (defaulting ``None``
-    to an unbounded full scan).
+    Rejects anything that is not a :class:`ScanRequest` and returns the
+    request (defaulting ``None`` to an unbounded full scan).
     """
-    for name, replacement in _REMOVED_SCAN_KWARGS.items():
-        if name in kwargs:
-            raise ReproError(
-                f"{where}() no longer accepts {name}=; pass "
-                f"{replacement} instead (see docs/engine.md)")
-    if kwargs:
-        unexpected = next(iter(kwargs))
-        raise TypeError(
-            f"{where}() got an unexpected keyword argument {unexpected!r}")
     if request is None:
         return ScanRequest()
     if not isinstance(request, ScanRequest):

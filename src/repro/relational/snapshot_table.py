@@ -67,13 +67,13 @@ class SnapshotTable:
             return None
         return self._decoder(columns, qualified_as)(raw)
 
-    def scan(self, request=None, **kwargs):
+    def scan(self, request=None):
         """Full or PK-range scan over the snapshot.
 
         Takes one :class:`~repro.relational.scan.ScanRequest`, exactly
         like :meth:`RelationalTable.scan`.
         """
-        request = check_scan_args("SnapshotTable.scan", request, kwargs)
+        request = check_scan_args("SnapshotTable.scan", request)
         return self._scan_rows(request)
 
     def _scan_rows(self, request):
@@ -89,20 +89,19 @@ class SnapshotTable:
                 row = {name: row.get(name) for name in request.projection}
             yield row
 
-    def scan_batch(self, request=None, **kwargs):
+    def scan_batch(self, request=None):
         """Vectorized snapshot scan into a ColumnBatch (see
         :meth:`RelationalTable.scan_batch`)."""
-        request = check_scan_args("SnapshotTable.scan_batch", request,
-                                  kwargs)
+        request = check_scan_args("SnapshotTable.scan_batch", request)
         return run_scan_batch(
             self.codec, self.schema,
             lambda lo, hi, stats: self._primary.scan(lo=lo, hi=hi,
                                                      stats=stats),
             request, "SnapshotTable.scan_batch")
 
-    def scan_raw(self, request=None, **kwargs):
+    def scan_raw(self, request=None):
         """Snapshot scan yielding undecoded record bytes."""
-        request = check_scan_args("SnapshotTable.scan_raw", request, kwargs)
+        request = check_scan_args("SnapshotTable.scan_raw", request)
         return self._scan_raw(request)
 
     def _scan_raw(self, request):

@@ -199,7 +199,7 @@ class RelationalTable:
             return None
         return self._decoder(columns, qualified_as)(raw)
 
-    def scan(self, request=None, **kwargs):
+    def scan(self, request=None):
         """Full or PK-range scan; yields decoded rows.
 
         Takes one :class:`~repro.relational.scan.ScanRequest`;
@@ -210,7 +210,7 @@ class RelationalTable:
         projection saves downstream bytes, not I/O, matching the
         paper's model.
         """
-        request = check_scan_args("RelationalTable.scan", request, kwargs)
+        request = check_scan_args("RelationalTable.scan", request)
         return self._scan_rows(request)
 
     def _scan_rows(self, request):
@@ -226,23 +226,22 @@ class RelationalTable:
                 row = {name: row.get(name) for name in request.projection}
             yield row
 
-    def scan_batch(self, request=None, **kwargs):
+    def scan_batch(self, request=None):
         """Vectorized scan: decode matching records into a ColumnBatch.
 
         Storage access (LSM reads, stats) is identical to :meth:`scan`;
         pk-bound clamping and shard-membership pruning happen on the
         decoded primary-key column, vectorized.
         """
-        request = check_scan_args("RelationalTable.scan_batch", request,
-                                  kwargs)
+        request = check_scan_args("RelationalTable.scan_batch", request)
         return run_scan_batch(
             self.codec, self.schema,
             lambda lo, hi, stats: self.family.scan(lo=lo, hi=hi, stats=stats),
             request, "RelationalTable.scan_batch")
 
-    def scan_raw(self, request=None, **kwargs):
+    def scan_raw(self, request=None):
         """Scan yielding undecoded record bytes (batch-decode feeds)."""
-        request = check_scan_args("RelationalTable.scan_raw", request, kwargs)
+        request = check_scan_args("RelationalTable.scan_raw", request)
         return self._scan_raw(request)
 
     def _scan_raw(self, request):

@@ -37,8 +37,8 @@ byte.
 from dataclasses import dataclass, field
 
 from repro.context import ExecutionContext
-from repro.core import (CardinalityFeedback, DeviceLoad, ExecutionStrategy,
-                        PlanningContext)
+from repro.core import DeviceLoad, ExecutionStrategy, PlanningContext
+from repro.engine.adaptive import _BreakerMonitor
 from repro.engine.stacks import Stack
 from repro.errors import (AdmissionTimeoutError, DeviceOverloadError,
                           ReproError)
@@ -257,9 +257,8 @@ class WorkloadScheduler:
         job = QueryJob(seq=len(self.jobs), name=name, sql=self._sql_for(name),
                        arrival=at, client=client, deadline=deadline)
         # Adaptive bookkeeping (same private-attribute convention as
-        # ``job._prepared``): replan count, cancelled-attempt time and
-        # the audit trail of breaker decisions.
-        job._replans = 0
+        # ``job._prepared``): cancelled-attempt time and the audit trail
+        # of breaker decisions, one event per revision spent.
         job._adapt_wasted = 0.0
         job._adapt_events = []
         self.jobs.append(job)
@@ -309,7 +308,7 @@ class WorkloadScheduler:
         extras = {"plan_cache": self.runner.plan_cache_stats()}
         if self.replan is not None or self.correction is not None:
             extras["adaptivity"] = {
-                "replans": sum(job._replans for job in self.jobs),
+                "replans": sum(len(job._adapt_events) for job in self.jobs),
                 "wasted_time": sum(job._adapt_wasted for job in self.jobs),
                 "correction": (self.correction.snapshot()
                                if self.correction is not None else {}),
@@ -341,27 +340,12 @@ class WorkloadScheduler:
         return self.kernel.links[index], self.kernel.cores[index]
 
     def current_load(self, device_index=0):
-        """One device's pressure snapshot fed to load-aware planning.
-
-        Utilization is busy time over the horizon each resource is
-        booked until — counting work already committed to the future,
-        which is what the *next* query will actually contend with.
-        """
-        def _utilization(resource):
-            horizon = max(self.kernel.now, resource.free_at)
-            if horizon <= 0:
-                return 0.0
-            return min(1.0, resource.busy_time / horizon)
-
+        """One device's pressure snapshot fed to load-aware planning
+        (see :meth:`~repro.core.cost_model.DeviceLoad.measure`)."""
         link, core = self._device_resources(device_index)
-        device = self.devices[device_index]
-        return DeviceLoad(
-            core_utilization=_utilization(core),
-            link_utilization=_utilization(link),
-            reserved_fraction=(device.reserved_bytes
-                               / max(1, device.buffer_budget)),
-            inflight=self._device_inflight_by[device_index],
-        )
+        return DeviceLoad.measure(
+            self.kernel.now, core, link, self.devices[device_index],
+            inflight=self._device_inflight_by[device_index])
 
     def _least_loaded_device(self):
         """The device the next offload should land on.
@@ -425,17 +409,9 @@ class WorkloadScheduler:
         # runs on-device and only the epilogue (aggregation/sort) runs
         # host-side, which keeps result rows identical to serial
         # execution on one shared code path.
-        split_index = job.decision.split_index
-        if self.cluster is None:
-            cooperative = self.runner.cooperative
-            kernel = self.kernel
-        else:
-            cooperative = self.cluster.executors[target]
-            kernel = self.kernel.view(target)
         try:
-            prepared = cooperative.prepare_split(
-                job.plan, split_index, self.ctx, kernel=kernel,
-                trace_label=job.label)
+            self._admit(job, job.decision.split_index, target, now,
+                        load=load)
         except AdmissionTimeoutError as error:
             # Admission gave up: the DRAM pressure window outlasts the
             # retry policy's admission timeout, so waiting for a
@@ -456,9 +432,30 @@ class WorkloadScheduler:
             # Would not fit even an idle device: run on the host.
             self._start_host(job)
             return True
+        return True
+
+    def _admit(self, job, split_index, target, now, load=None):
+        """Stage ``job`` at ``H{split_index}`` on device ``target`` and
+        launch it.
+
+        Shared by first admission and the shift-split restart.  Raises
+        ``prepare_split``'s :class:`~repro.errors.AdmissionTimeoutError`
+        or :class:`~repro.errors.DeviceOverloadError` when the
+        reservation does not fit.  ``load`` is the admission-time
+        snapshot of a *first* admission, which sets ``admitted_at`` and
+        traces the admit; a restart keeps the original admission time.
+        """
+        if self.cluster is None:
+            cooperative = self.runner.cooperative
+            kernel = self.kernel
+        else:
+            cooperative = self.cluster.executors[target]
+            kernel = self.kernel.view(target)
+        prepared = cooperative.prepare_split(
+            job.plan, split_index, self.ctx, kernel=kernel,
+            trace_label=job.label)
         job.placement = (f"H{split_index}" if self.cluster is None
                          else f"H{split_index}@d{target}")
-        job.admitted_at = now
         job._prepared = prepared
         job._target = target
         self._inflight += 1
@@ -466,156 +463,89 @@ class WorkloadScheduler:
         self._device_inflight_by[target] += 1
         reserved = sum(device.reserved_bytes for device in self.devices)
         self._peak_reserved = max(self._peak_reserved, reserved)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                SCHED_TRACK, f"admit {job.label}", now,
-                args={"placement": job.placement,
-                      "reserved_bytes": reserved,
-                      "core_utilization": round(load.core_utilization, 4)})
+        if load is not None:
+            job.admitted_at = now
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    SCHED_TRACK, f"admit {job.label}", now,
+                    args={"placement": job.placement,
+                          "reserved_bytes": reserved,
+                          "core_utilization": round(load.core_utilization,
+                                                    4)})
         self._launch(job, prepared, target, now)
-        return True
+
+    def _release_device(self, job, target):
+        """Forget ``job``'s offload on device ``target``: drop the staged
+        split and its two in-flight counts."""
+        job._prepared = None
+        self._device_inflight -= 1
+        self._device_inflight_by[target] -= 1
 
     def _launch(self, job, prepared, target, now):
         """Start a prepared offload, wiring completion and adaptivity."""
         if self.replan is not None:
+            monitor = _BreakerMonitor(job.decision, self.replan,
+                                      job._adapt_events)
             prepared.sim.breaker_hook = (
-                lambda sim, i, job=job, prepared=prepared, target=target:
-                    self._breaker_check(job, prepared, target, sim, i))
+                lambda sim, i: self._breaker_check(job, monitor, prepared,
+                                                   target, sim, i))
         prepared.start(
             now,
-            on_complete=lambda sim, job=job, prepared=prepared:
+            on_complete=lambda sim:
                 self._offload_done(job, prepared, target),
-            on_abandon=lambda sim, error, job=job, prepared=prepared:
+            on_abandon=lambda sim, error:
                 self._offload_abandoned(job, prepared, error, target))
 
     # ------------------------------------------------------------------
     # Mid-query re-planning
     # ------------------------------------------------------------------
-    def _breaker_check(self, job, prepared, target, sim, i):
+    def _breaker_check(self, job, monitor, prepared, target, sim, i):
         """Pipeline-breaker feedback: second-guess the in-flight plan.
 
         Called by the split simulation each time a device batch lands
-        host-side.  Extrapolates the intermediate-result cardinality
-        from the batches observed so far (exact once the device fragment
-        finished — it executes eagerly and announces the batch count
-        with the first push), compares it against the estimate baked
-        into the admission decision, and — past the policy threshold or
-        on device saturation — asks the decision to revise itself.  A
+        host-side.  ``monitor`` judges the observation, with the
+        target device's saturation as the scheduler's extra input.  A
         revision that changes the placement cooperatively cancels the
         offload (reason ``"replan"``) and either sheds the query to the
         host or restarts it at the revised split point on the same
         device; the cancelled attempt's elapsed time is accounted as
         ``wasted_time`` on the job's adaptivity audit.
         """
-        policy = self.replan
-        if policy is None or job._replans >= policy.max_replans:
-            return
-        batches_seen = i + 1
-        if batches_seen < policy.min_batches:
-            return
-        decision = job.decision
-        estimate = decision.estimate_for()
-        if estimate.intermediate_rows is None:
+        saturated = (self.current_load(target).core_utilization
+                     >= self.replan.saturation_shed)
+        event = monitor.observe(sim, i, saturated=saturated)
+        if event is None:
             return
         now = sim.clock.now
-        observed_so_far = sum(len(batch)
-                              for batch in sim.batches[:batches_seen])
-        observed_total = int(round(observed_so_far * sim.n_batches
-                                   / batches_seen))
-        load = self.current_load(target)
-        saturated = load.core_utilization >= policy.saturation_shed
-        feedback = CardinalityFeedback(
-            observed_rows=observed_total,
-            estimated_rows=estimate.intermediate_rows,
-            batches_observed=batches_seen,
-            batches_total=sim.n_batches,
-            raw_rows=estimate.raw_rows,
-            at=now,
-            device_saturated=saturated)
-        if feedback.error < policy.error_threshold and not saturated:
-            return
-        revised = decision.revise(feedback)
-        event = {
-            "at": now,
-            "batches_observed": batches_seen,
-            "batches_total": sim.n_batches,
-            "observed_rows": observed_total,
-            "estimated_rows": estimate.intermediate_rows,
-            "error": round(feedback.error, 6),
-            "device_saturated": saturated,
-            "from": decision.strategy_name,
-            "to": revised.strategy_name,
-        }
-        if revised.strategy_name == decision.strategy_name:
-            # Re-pricing with the observed cardinality still prefers the
-            # running plan: record the audit, keep going.
-            event["action"] = "kept"
-            job._adapt_events.append(event)
-            job._replans += 1
-            return
         if not prepared.cancel(now, reason="replan"):
             return               # completed at this very timestamp
-        job._replans += 1
         wasted = max(0.0, now - job.admitted_at)
         job._adapt_wasted += wasted
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[target] -= 1
+        self._release_device(job, target)
         self._inflight -= 1      # _start_host / restart re-increments
         old_placement = job.placement
+        revised = monitor.revised
         if self.tracer.enabled:
             self.tracer.instant(
                 SCHED_TRACK, f"replan {job.label}", now,
-                args={"from": decision.strategy_name,
+                args={"from": job.decision.strategy_name,
                       "to": revised.strategy_name,
-                      "error": round(feedback.error, 4),
+                      "error": round(monitor.feedback.error, 4),
                       "saturated": saturated})
-        if (revised.strategy is ExecutionStrategy.HOST_ONLY
-                or revised.split_index is None):
-            event["action"] = "shed-to-host"
-            job._adapt_events.append(event)
-            job.decision = revised
-            self._start_host(job, fallback_from=f"replan:{old_placement}",
-                             wasted_time=wasted)
-            self._drain()
-            return
-        # Shift the split point: restart on the same device at the
-        # revised k.  If the new reservation no longer fits (other
-        # queries grabbed the freed buffers is impossible mid-event,
-        # but a *larger* split may simply not fit), shed to the host.
-        split_index = revised.split_index
-        if self.cluster is None:
-            cooperative = self.runner.cooperative
-            kernel = self.kernel
-        else:
-            cooperative = self.cluster.executors[target]
-            kernel = self.kernel.view(target)
-        try:
-            restarted = cooperative.prepare_split(
-                job.plan, split_index, self.ctx, kernel=kernel,
-                trace_label=job.label)
-        except (AdmissionTimeoutError, DeviceOverloadError) as error:
-            event["action"] = "shed-to-host"
-            event["restart_failed"] = type(error).__name__
-            job._adapt_events.append(event)
-            job.decision = revised
-            self._start_host(job, fallback_from=f"replan:{old_placement}",
-                             wasted_time=wasted)
-            self._drain()
-            return
-        event["action"] = "shift-split"
         job._adapt_events.append(event)
         job.decision = revised
-        job.placement = (f"H{split_index}" if self.cluster is None
-                         else f"H{split_index}@d{target}")
-        job._prepared = restarted
-        job._target = target
-        self._inflight += 1
-        self._device_inflight += 1
-        self._device_inflight_by[target] += 1
-        reserved = sum(device.reserved_bytes for device in self.devices)
-        self._peak_reserved = max(self._peak_reserved, reserved)
-        self._launch(job, restarted, target, now)
+        if event["action"] == "shift-split":
+            # Restart on the same device at the revised k; if the new
+            # reservation does not fit (a *larger* split may not), shed
+            # to the host instead.
+            try:
+                self._admit(job, revised.split_index, target, now)
+            except (AdmissionTimeoutError, DeviceOverloadError) as error:
+                event["action"] = "shed-to-host"
+                event["restart_failed"] = type(error).__name__
+        if event["action"] == "shed-to-host":
+            self._start_host(job, fallback_from=f"replan:{old_placement}",
+                             wasted_time=wasted)
         self._drain()
 
     # ------------------------------------------------------------------
@@ -663,9 +593,7 @@ class WorkloadScheduler:
     def _offload_done(self, job, prepared, device_index=0):
         now = self.kernel.now
         job.report = prepared.finish(total_time=now - job.arrival)
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[device_index] -= 1
+        self._release_device(job, device_index)
         if self.correction is not None and job.decision is not None:
             # Fold the observed intermediate-result cardinality into the
             # EWMA against the *uncorrected* estimate, so the factor
@@ -686,9 +614,7 @@ class WorkloadScheduler:
         """
         now = self.kernel.now
         prepared.release()
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[device_index] -= 1
+        self._release_device(job, device_index)
         self._inflight -= 1      # _start_host re-increments
         job.error = str(error)
         # The attempt's own elapsed cost, not now - arrival: queue wait
@@ -737,9 +663,7 @@ class WorkloadScheduler:
         if not prepared.cancel(now, reason="deadline"):
             return               # completed at this very timestamp
         target = job._target
-        job._prepared = None
-        self._device_inflight -= 1
-        self._device_inflight_by[target] -= 1
+        self._release_device(job, target)
         self._inflight -= 1
         job.shed_at = now
         job.error = (f"{job.label}: deadline {job.deadline}s expired "
@@ -756,15 +680,9 @@ class WorkloadScheduler:
         job.completed_at = now
         self._inflight -= 1
         if self.replan is not None and job.report is not None:
-            job.report.adaptivity = {
-                "enabled": True,
-                "replans": job._replans,
-                "correction_factor": (
-                    self.correction.factor(job.sql)
-                    if self.correction is not None else 1.0),
-                "wasted_time": job._adapt_wasted,
-                "events": list(job._adapt_events),
-            }
+            job.report.adaptivity = _BreakerMonitor.audit(
+                job._adapt_events, job._adapt_wasted, self.correction,
+                job.sql)
             # total_time is wall clock since arrival, so the cancelled
             # attempt's elapsed time is already inside it — the audit
             # block records it separately, no double charge.

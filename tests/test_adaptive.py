@@ -8,17 +8,21 @@ switched off is byte-invisible.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.adaptive import adaptive_matrix
+from repro.bench.chaos import scenario_plan
+from repro.context import ExecutionContext
 from repro.core import (CardinalityFeedback, CostCorrection,
                         PlanningContext, ReplanPolicy)
 from repro.engine import AdaptiveRunner, Stack, StackRunner
 from repro.errors import ReproError
 from repro.sched import WorkloadScheduler
+from repro.sim import Tracer
 from repro.workloads.job_queries import query
 from repro.workloads.sqlgen import RandomSqlGenerator
 
@@ -27,16 +31,11 @@ from repro.workloads.sqlgen import RandomSqlGenerator
 AGGRESSIVE = ReplanPolicy(error_threshold=1.01, min_batches=1,
                           max_replans=1)
 
+#: Exact adaptivity audits of the serial runner and the scheduler.
+GOLDEN_AUDITS = Path(__file__).parent / "golden" / "adaptive_audits.json"
+
 
 class TestPlanningContextApi:
-    def test_decide_rejects_removed_device_load_kwarg(self, job_env):
-        with pytest.raises(ReproError,
-                           match="no longer accepts device_load="):
-            job_env.planner.decide(query("1a"), device_load=None)
-        with pytest.raises(ReproError,
-                           match="no longer accepts device_load="):
-            job_env.decide(query("1a"), device_load=None)
-
     def test_context_must_be_a_planning_context(self, job_env):
         with pytest.raises(ReproError, match="PlanningContext"):
             job_env.planner.decide(query("1a"), context={"device_load": 1})
@@ -166,6 +165,31 @@ class TestAdaptiveExecution:
         for cell in final.values():
             assert cell["correction_factor"] < 5.0
 
+    def test_host_fallback_matches_stack_runner(self, job_env):
+        """An offload that exhausts its retries degrades exactly like
+        StackRunner's hybrid run: same report, rows and fault trace."""
+        def ctx():
+            return ExecutionContext(
+                faults=scenario_plan("command-storm", seed=0),
+                tracer=Tracer())
+
+        adaptive_ctx = ctx()
+        adaptive = AdaptiveRunner(job_env).run(query("8c"), ctx=adaptive_ctx)
+        assert adaptive.fallback_from is not None
+        split = int(adaptive.fallback_from[1:])
+        serial_ctx = ctx()
+        serial = job_env.run(query("8c"), Stack.HYBRID, split_index=split,
+                             ctx=serial_ctx)
+        assert serial.strategy == "host-only(fallback)"
+        payload = adaptive.to_dict()
+        assert payload.pop("adaptivity")["enabled"] is True
+        expected = serial.to_dict()
+        expected.pop("adaptivity")
+        assert payload == expected
+        host = job_env.run(query("8c"), Stack.NATIVE)
+        assert adaptive.result.sorted_rows() == host.result.sorted_rows()
+        assert adaptive_ctx.tracer.dumps() == serial_ctx.tracer.dumps()
+
     def test_noop_breaker_hook_is_byte_invisible(self, job_env):
         plan = job_env.runner.plan(query("1a"))
         base = job_env.runner.cooperative.run_split(plan, 0)
@@ -211,6 +235,37 @@ class TestAdaptiveScheduler:
         second.pop("plan_cache")
         assert (json.dumps(first, sort_keys=True)
                 == json.dumps(second, sort_keys=True))
+
+
+def audit_payload(env):
+    """The serial and scheduled adaptivity audits pinned by the fixture.
+
+    Key order is part of the contract (serial events carry no
+    ``device_saturated``, scheduler events do), so the payload is
+    compared as serialized text, not as a parsed dict.  Regenerate only
+    when an intended change moves an audit:
+
+        PYTHONPATH=src python -c "
+        from repro.workloads.loader import build_environment
+        from tests.test_adaptive import GOLDEN_AUDITS, audit_payload
+        env = build_environment(scale=0.0004, seed=7)
+        GOLDEN_AUDITS.write_text(audit_payload(env))"
+    """
+    runner = AdaptiveRunner(env, policy=AGGRESSIVE)
+    audits = [runner.run(query(name)).adaptivity
+              for name in ("1a", "8c", "1a", "8c")]
+    scheduled = TestAdaptiveScheduler()._run_workload(env).to_dict(
+        include_reports=True)
+    scheduled.pop("plan_cache")   # depends on plans built by earlier tests
+    payload = {"serial": {"audits": audits,
+                          "correction": runner.correction.snapshot()},
+               "scheduler": scheduled}
+    return json.dumps(payload, indent=1) + "\n"
+
+
+class TestAuditCharacterisation:
+    def test_audits_match_golden_bytes(self, job_env):
+        assert audit_payload(job_env) == GOLDEN_AUDITS.read_text()
 
 
 class TestPlanCacheVersioning:

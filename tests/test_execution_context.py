@@ -1,4 +1,4 @@
-"""Tests for the ExecutionContext API and its compatibility shim."""
+"""Tests for the ExecutionContext API and the run paths that take it."""
 
 import dataclasses
 
@@ -72,35 +72,12 @@ class TestContext:
 
 
 class TestRunPaths:
-    """ctx= is the only spelling; the legacy kwargs raise by name."""
-
-    @pytest.mark.parametrize("kwargs", [
-        {"tracer": None}, {"faults": None},
-    ])
-    def test_removed_kwargs_raise_with_replacement(self, job_env, kwargs):
-        plan = job_env.runner.plan(query(QUERY))
-        name = next(iter(kwargs))
-        with pytest.raises(ReproError, match=f"no longer accepts {name}="):
-            job_env.run(plan, Stack.HYBRID, split_index=0, **kwargs)
-        with pytest.raises(ReproError, match="ExecutionContext"):
-            job_env.runner.run(plan, Stack.HYBRID, split_index=0, **kwargs)
+    """ctx= is the only spelling for the run collaborators."""
 
     def test_unknown_kwarg_is_a_type_error(self, job_env):
         plan = job_env.runner.plan(query(QUERY))
         with pytest.raises(TypeError):
             job_env.run(plan, Stack.HYBRID, split_index=0, bogus=1)
-
-    def test_ctx_plus_kwargs_rejected_at_run(self, job_env):
-        plan = job_env.runner.plan(query(QUERY))
-        with pytest.raises(ReproError):
-            job_env.run(plan, Stack.HYBRID, split_index=0,
-                        ctx=ExecutionContext(), tracer=Tracer())
-
-    def test_run_all_splits_tracer_factory_removed(self, job_env):
-        with pytest.raises(ReproError,
-                           match="no longer accepts tracer_factory="):
-            job_env.runner.run_all_splits(
-                query(QUERY), tracer_factory=lambda name: Tracer())
 
     def test_run_all_splits_ctx_factory(self, job_env):
         tracers = {}

@@ -61,13 +61,6 @@ class TestScan:
         rows = list(people.scan(ScanRequest(pk_lo=2, pk_hi=3)))
         assert [r["id"] for r in rows] == [2, 3]
 
-    def test_removed_kwargs_name_replacement(self, people):
-        with pytest.raises(ReproError, match=r"ScanRequest\(pk_lo=\.\.\.\)"):
-            list(people.scan(pk_lo=2))
-        with pytest.raises(ReproError,
-                           match=r"ScanRequest\(predicate=\.\.\.\)"):
-            list(people.scan(predicate=lambda r: True))
-
     def test_unknown_kwarg_is_type_error(self, people):
         with pytest.raises(TypeError):
             list(people.scan(bogus=1))
