@@ -10,7 +10,7 @@ catalog — see :class:`repro.storage.topology.Topology`).  The
    table's scan responsibility into per-device shards; each device runs
    the hybridNDP split the :class:`~repro.core.planner.HybridPlanner`
    picked for it, restricted to its shard, as a staged
-   :class:`~repro.engine.cooperative._SplitSimulation` on one shared
+   :class:`~repro.engine.cooperative.PreparedSplit` on one shared
    :class:`~repro.sim.ClusterSimContext` (one clock, one host CPU, one
    PCIe link + NDP core per device).
 2. **Gather** — partitions complete on the shared timeline; the host
@@ -111,12 +111,6 @@ class SpeculationPolicy:
 
     def describe(self):
         return {"factor": self.factor, "quorum": self.quorum}
-
-
-def _add_counters(total, extra):
-    for name, value in extra.as_dict().items():
-        setattr(total, name, getattr(total, name) + value)
-    return total
 
 
 class _Attempt:
@@ -428,13 +422,14 @@ class ScatterGatherExecutor:
         state.inflight_devices.add(device_index)
         prepared.start(
             at,
-            on_complete=lambda sim, part=part, attempt=attempt:
-                self._attempt_done(state, part, attempt, sim),
-            on_abandon=lambda sim, error, part=part, attempt=attempt:
+            on_complete=lambda split, part=part, attempt=attempt:
+                self._attempt_done(state, part, attempt),
+            on_abandon=lambda split, error, part=part, attempt=attempt:
                 self._attempt_abandoned(state, part, attempt, error))
 
-    def _attempt_done(self, state, part, attempt, sim):
-        now = sim.host_end
+    def _attempt_done(self, state, part, attempt):
+        prepared = attempt.prepared
+        now = prepared.host_end
         state.inflight_devices.discard(attempt.device_index)
         if part.done:
             # Lost a same-timestamp race: the winner committed first.
@@ -443,27 +438,26 @@ class ScatterGatherExecutor:
             return
         part.done = True
         part.duration = now - attempt.started_at
-        prepared = attempt.prepared
         part.device = attempt.device_index
         part.placement = f"H{part.split_index}@d{attempt.device_index}"
-        part.rows = ColumnBatch.concat(sim.joined_rows)
+        part.rows = ColumnBatch.concat(prepared.joined_rows)
         part.completed_at = now
         part.host_counters = prepared.host_counters
         part.device_counters = prepared.execution.counters
-        part.timeline = list(sim.timeline)
+        part.timeline = list(prepared.timeline)
         part.batches = prepared.n_batches
         part.intermediate_rows = prepared.intermediate_rows
         part.intermediate_bytes = (prepared.intermediate_rows
                                    * prepared.row_bytes)
         part.setup_time = prepared.setup_time
-        part.host_wait_initial = sim.host_wait_initial
-        part.host_wait_other = sim.host_wait_other
-        part.transfer_time = sim.transfer_total
-        part.host_processing = sim.host_processing
-        part.device_busy_time = prepared.device_time + sim.slow_time
-        part.device_stall_time = sim.device_stall
-        part.retries += sim.retries
-        part.wasted_time += sim.wasted_time
+        part.host_wait_initial = prepared.host_wait_initial
+        part.host_wait_other = prepared.host_wait_other
+        part.transfer_time = prepared.transfer_total
+        part.host_processing = prepared.host_processing
+        part.device_busy_time = prepared.device_time + prepared.slow_time
+        part.device_stall_time = prepared.device_stall
+        part.retries += prepared.retries
+        part.wasted_time += prepared.wasted_time
         prepared.release()
         self._cancel_losers(state, part, attempt, now)
         self._maybe_speculate(state, now)
@@ -807,10 +801,10 @@ class ScatterGatherExecutor:
         device_counters = WorkCounters()
         for part in partitions:
             if part.host_counters is not None:
-                _add_counters(host_counters, part.host_counters)
+                host_counters.merge(part.host_counters)
             if part.device_counters is not None:
-                _add_counters(device_counters, part.device_counters)
-        _add_counters(host_counters, merge_counters)
+                device_counters.merge(part.device_counters)
+        host_counters.merge(merge_counters)
 
         timeline = []
         for part in partitions:

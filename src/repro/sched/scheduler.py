@@ -4,7 +4,7 @@ One :class:`WorkloadScheduler` owns a shared
 :class:`~repro.sim.SimContext` — one clock, one event loop, one PCIe
 link, one NDP core, one host CPU — and admits many queries onto it.
 Each admitted offload runs as an interleaved
-:class:`~repro.engine.cooperative._SplitSimulation` on the shared
+:class:`~repro.engine.cooperative.PreparedSplit` on the shared
 resources, so queries contend for link bandwidth, device compute, host
 CPU *and* the device's token-tracked DRAM budget, exactly the regime the
 paper's per-operator buffer reservations (17 MB per selection, 7 MB per
@@ -486,9 +486,9 @@ class WorkloadScheduler:
         if self.replan is not None:
             monitor = _BreakerMonitor(job.decision, self.replan,
                                       job._adapt_events)
-            prepared.sim.breaker_hook = (
-                lambda sim, i: self._breaker_check(job, monitor, prepared,
-                                                   target, sim, i))
+            prepared.breaker_hook = (
+                lambda split, i: self._breaker_check(job, monitor, split,
+                                                     target, i))
         prepared.start(
             now,
             on_complete=lambda sim:
@@ -499,7 +499,7 @@ class WorkloadScheduler:
     # ------------------------------------------------------------------
     # Mid-query re-planning
     # ------------------------------------------------------------------
-    def _breaker_check(self, job, monitor, prepared, target, sim, i):
+    def _breaker_check(self, job, monitor, prepared, target, i):
         """Pipeline-breaker feedback: second-guess the in-flight plan.
 
         Called by the split simulation each time a device batch lands
@@ -513,10 +513,10 @@ class WorkloadScheduler:
         """
         saturated = (self.current_load(target).core_utilization
                      >= self.replan.saturation_shed)
-        event = monitor.observe(sim, i, saturated=saturated)
+        event = monitor.observe(prepared, i, saturated=saturated)
         if event is None:
             return
-        now = sim.clock.now
+        now = prepared.clock.now
         if not prepared.cancel(now, reason="replan"):
             return               # completed at this very timestamp
         wasted = max(0.0, now - job.admitted_at)

@@ -122,6 +122,21 @@ class TestDeadline:
         # Cancellation released the pipeline reservation.
         assert job_env.device.reserved_bytes == reserved_before
 
+    def test_traced_full_ndp_deadline_raises_deadline_error(self, job_env):
+        from repro.errors import DeadlineExceededError
+
+        plan = job_env.runner.plan(query("1a"))
+        full = job_env.run(plan, Stack.NDP).total_time
+        tracer = Tracer()
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            job_env.run(plan, Stack.NDP,
+                        ctx=ExecutionContext(tracer=tracer,
+                                             deadline=full / 2))
+        assert excinfo.value.partial["would_have_taken"] == full
+        # The root span was closed exactly once: the trace exports.
+        assert tracer.dumps()
+        assert "open=0" in repr(tracer)
+
     def test_generous_deadline_is_identical_to_none(self, job_env):
         plan = job_env.runner.plan(query(QUERY))
         bounded = job_env.run(plan, Stack.HYBRID, split_index=1,

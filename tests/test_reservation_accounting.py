@@ -231,14 +231,13 @@ class TestCancellationProperty:
 
         # The reservation is never live afterwards, cancelled or not.
         assert job_env.device.reserved_bytes == reserved_before
-        sim = prepared.sim
-        if sim.cancelled:
-            for resource in (sim.link, sim.core, sim.cpu):
+        if prepared.cancelled:
+            for resource in (prepared.link, prepared.core, prepared.cpu):
                 assert resource.free_at <= cancel_at + 1e-9, resource
         else:
             # Cancel arrived after completion: result must be intact.
-            assert sim.completed
-            assert sim.result is not None
+            assert prepared.completed
+            assert prepared.result is not None
 
     def test_double_cancel_is_idempotent(self, job_env, staged_split):
         plan, split, total = staged_split
@@ -253,6 +252,6 @@ class TestCancellationProperty:
             cancel_at, lambda: prepared.cancel(cancel_at, reason="first"),
             label="cancel")
         kernel.loop.run()
-        assert prepared.sim.cancelled
+        assert prepared.cancelled
         assert prepared.cancel(total, reason="second") is False
         assert job_env.device.reserved_bytes == reserved_before

@@ -16,6 +16,7 @@ from repro.context import ExecutionContext
 from repro.engine.cooperative import (DEVICE_RESOURCE, EXEC_TRACK,
                                       HOST_RESOURCE, LINK_RESOURCE)
 from repro.engine.stacks import Stack, StackRunner
+from repro.faults import CommandFaultModel, FaultPlan
 from repro.sim import Tracer
 from repro.storage.topology import Topology
 from repro.workloads.job_queries import query
@@ -31,10 +32,10 @@ def runner(mini_catalog, kv_db, flash):
     return StackRunner(mini_catalog, kv_db, device, buffer_scale=0.001)
 
 
-def traced_run(runner, stack, split_index=None):
+def traced_run(runner, stack, split_index=None, faults=None):
     tracer = Tracer()
     report = runner.run(MINI_JOIN_SQL, stack, split_index=split_index,
-                        ctx=ExecutionContext(tracer=tracer))
+                        ctx=ExecutionContext(tracer=tracer, faults=faults))
     return report, tracer
 
 
@@ -49,23 +50,37 @@ def root_span(tracer):
     return root
 
 
-ALL_STRATEGIES = [(Stack.BLK, None), (Stack.NATIVE, None),
-                  (Stack.NDP, None), (Stack.HYBRID, 0),
-                  (Stack.HYBRID, 1), (Stack.HYBRID, 2)]
+#: One failed submission, then success: the retry and backoff phases.
+FAIL_FIRST_1 = FaultPlan(commands=CommandFaultModel(fail_first=1))
+
+
+def cases(*strategies):
+    """``(stack, split, faults)`` params: fault-free ones keep their
+    ``stack-split`` ids, plus full NDP under :data:`FAIL_FIRST_1`."""
+    params = [pytest.param(stack, split, None, id=f"{stack}-{split}")
+              for stack, split in strategies]
+    params.append(pytest.param(Stack.NDP, None, FAIL_FIRST_1,
+                               id="Stack.NDP-None-fail_first=1"))
+    return params
+
+
+ALL_STRATEGIES = cases((Stack.BLK, None), (Stack.NATIVE, None),
+                       (Stack.NDP, None), (Stack.HYBRID, 0),
+                       (Stack.HYBRID, 1), (Stack.HYBRID, 2))
 
 
 class TestSpanTree:
-    @pytest.mark.parametrize("stack,split", ALL_STRATEGIES)
-    def test_exactly_one_root_span(self, runner, stack, split):
-        report, tracer = traced_run(runner, stack, split)
+    @pytest.mark.parametrize("stack,split,faults", ALL_STRATEGIES)
+    def test_exactly_one_root_span(self, runner, stack, split, faults):
+        report, tracer = traced_run(runner, stack, split, faults)
         root = root_span(tracer)
         assert root.start == 0.0
         assert root.end == pytest.approx(report.total_time)
         assert root.args["strategy"] == report.strategy
 
-    @pytest.mark.parametrize("stack,split", ALL_STRATEGIES)
-    def test_spans_nest_inside_root(self, runner, stack, split):
-        report, tracer = traced_run(runner, stack, split)
+    @pytest.mark.parametrize("stack,split,faults", ALL_STRATEGIES)
+    def test_spans_nest_inside_root(self, runner, stack, split, faults):
+        report, tracer = traced_run(runner, stack, split, faults)
         root = root_span(tracer)
         for span in tracer.spans:
             assert span.start >= -1e-12, span
@@ -73,11 +88,12 @@ class TestSpanTree:
             if span.parent is not None:
                 assert span.parent == root.id
 
-    @pytest.mark.parametrize("stack,split",
-                             [(Stack.NDP, None), (Stack.HYBRID, 0),
-                              (Stack.HYBRID, 1), (Stack.HYBRID, 2)])
-    def test_serialized_resources_never_overlap(self, runner, stack, split):
-        _, tracer = traced_run(runner, stack, split)
+    @pytest.mark.parametrize("stack,split,faults",
+                             cases((Stack.NDP, None), (Stack.HYBRID, 0),
+                                   (Stack.HYBRID, 1), (Stack.HYBRID, 2)))
+    def test_serialized_resources_never_overlap(self, runner, stack, split,
+                                                faults):
+        _, tracer = traced_run(runner, stack, split, faults)
         for resource in RESOURCES:
             spans = busy_spans(tracer, resource)
             for a, b in zip(spans, spans[1:]):
@@ -127,10 +143,10 @@ class TestSpanTree:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("stack,split", ALL_STRATEGIES)
-    def test_two_runs_byte_identical(self, runner, stack, split):
-        _, first = traced_run(runner, stack, split)
-        _, second = traced_run(runner, stack, split)
+    @pytest.mark.parametrize("stack,split,faults", ALL_STRATEGIES)
+    def test_two_runs_byte_identical(self, runner, stack, split, faults):
+        _, first = traced_run(runner, stack, split, faults)
+        _, second = traced_run(runner, stack, split, faults)
         assert first.dumps() == second.dumps()
 
     def test_exported_json_is_valid_chrome_trace(self, runner):
