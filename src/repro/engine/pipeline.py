@@ -12,17 +12,21 @@ predicates as boolean masks, and joins by gathering row indices.  Every
 lengths, mask popcounts, byte widths — and is numerically identical to
 the retained row-at-a-time reference (:mod:`repro.engine.rowref`), so
 golden traces, differential tests and chaos/cluster audits stay
-byte-identical.  LSM access *order* is likewise preserved: batching only
-defers decode and predicate work, never reorders or skips storage reads,
-so stateful block-cache hit counts match exactly.
+byte-identical.  Scans run the row engine's LSM reads in its order.  The
+index join deduplicates its lookups per join call: each distinct outer
+key is read once, its read counters are charged by multiplicity, and its
+block-cache accesses are replayed in outer order, so the stateful cache
+ends with exactly the row engine's contents, hits and misses.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.columns import ColumnBatch
 from repro.errors import ExecutionError
+from repro.lsm.sstable import INDEX_BLOCK
 from repro.lsm.store import ReadStats
 from repro.query.ast import (Between, ColumnRef, Comparison, InList, IsNull,
                              Like, Literal, Not, And, Or, conjuncts)
@@ -31,6 +35,25 @@ from repro.query.vectorized import eval_mask
 from repro.relational.scan import ScanRequest
 
 _POINTER_BYTES = 8
+
+#: The :class:`ReadStats` fields that count work (all but ``cache``).
+_READ_COUNTERS = tuple(name for name in ReadStats.__dataclass_fields__
+                       if name != "cache")
+
+
+class _AccessLog:
+    """Block-cache stand-in: records each access and reports a miss."""
+
+    __slots__ = ("keys", "sizes")
+
+    def __init__(self):
+        self.keys = []
+        self.sizes = []
+
+    def access(self, key, nbytes):
+        self.keys.append(key)
+        self.sizes.append(nbytes)
+        return False
 
 
 def stable_hash(key):
@@ -370,7 +393,13 @@ class PipelineExecutor:
         return eval_mask(entry.local_filter, inner)
 
     def _join_bnlji(self, outer, outer_row_bytes, entry):
-        """Indexed block nested loop: seek the inner per outer row."""
+        """Indexed block nested loop: seek the inner per outer row.
+
+        Seeks are batched the way MySQL's Batched Key Access join does:
+        each distinct outer key is looked up once per call
+        (:meth:`_lookup_distinct`), and its records are emitted once per
+        occurrence.
+        """
         table = self.catalog.table(entry.table_name)
         ops, memcmp = predicate_cost(entry.local_filter, self.catalog,
                                      self._tables)
@@ -390,49 +419,107 @@ class PipelineExecutor:
         use_pk = entry.index_column == table.schema.primary_key
         needed, q_projection, exact = self._decode_plan(entry)
 
-        stats = self._stats()
         inner_bytes = self._materialized_bytes(entry)
         out_bytes = outer_row_bytes + inner_bytes
         counters = self.counters
-        # Seeks run row-at-a-time in outer order — the LSM access order
-        # (and therefore block-cache state) must match the row engine —
-        # but matched records are collected raw and decoded in one pass.
         keys = outer.column_list_or_none(outer_key)
+        records, found = self._lookup_distinct(
+            table, entry.index_column, use_pk, keys)
+        # Each key's records, once per occurrence, in outer order.
         outer_idx = []
-        raws = []
-        if use_pk:
-            for i, value in enumerate(keys):
-                if value is None:
-                    continue
-                counters.index_seeks += 1
-                raw = table.get_record(value, stats=stats)
-                if raw is not None:
-                    outer_idx.append(i)
-                    raws.append(raw)
-        else:
-            for i, value in enumerate(keys):
-                if value is None:
-                    continue
-                counters.index_seeks += 1
-                for raw in table.index_lookup_raw(entry.index_column, value,
-                                                  stats=stats):
-                    outer_idx.append(i)
-                    raws.append(raw)
-        inner = table.codec.batch_projector(needed, entry.alias)(raws)
-        m = len(inner)
+        record_idx = []
+        for i, value in enumerate(keys):
+            matches = found.get(value)
+            if matches:
+                outer_idx.extend([i] * len(matches))
+                record_idx.extend(matches)
+        m = len(record_idx)
         counters.records_evaluated += m
         counters.predicate_ops += ops * m
         counters.memcmp_bytes += memcmp * m
+        # Decode and filter every distinct record once.  Unless a key with
+        # records repeats, each record is emitted once, in ``records``
+        # order; otherwise gather them per occurrence.
+        inner = table.codec.batch_projector(needed, entry.alias)(records)
         keep = self._inner_filter(entry, inner)
         inner_proj = inner if exact else inner.project(q_projection)
+        if m != len(records):
+            record_idx = np.asarray(record_idx, dtype=np.intp)
+            keep = keep[record_idx]
+            inner_proj = inner_proj.take(record_idx)
         aligned_outer = outer.take(outer_idx)
         if extra_edges:
             keep = keep & _edge_mask(extra_edges, aligned_outer, inner_proj)
         result = aligned_outer.select(keep).merged(inner_proj.select(keep))
         counters.bytes_materialized += out_bytes * len(result)
-        counters.absorb_read_stats(stats)
         counters.output_rows += len(result)
         return result, out_bytes
+
+    def _lookup_distinct(self, table, index_column, use_pk, keys):
+        """``(records, {key: range into records})`` for the non-NULL keys.
+
+        Each distinct key is resolved once, through the table's scalar
+        read path (a primary seek, or the secondary walk plus primary
+        seeks), and its records are appended to ``records``.  The
+        executor's counters are charged exactly as a seek per non-NULL key
+        in outer order would charge them: ``index_seeks`` and every read
+        counter by the key's multiplicity, and the executor's block cache
+        accessed in that order.  No write can land during one call, so
+        every occurrence of a key reads the same path.
+        """
+        counts = Counter(keys)
+        counts.pop(None, None)
+        seeks = sum(counts.values())
+        self.counters.index_seeks += seeks
+        cache = self.block_cache
+        # Keys are resolved in order of first occurrence.  Only when a key
+        # repeats does that differ from outer order and the cache need a
+        # replay; otherwise the lookups access it directly.
+        log = None
+        if cache is not None and len(counts) < seeks:
+            log = _AccessLog()
+        stats = ReadStats()
+        by_multiplicity = {}       # occurrences -> ReadStats of those keys
+        spans = {}                 # key -> its slice of the access log
+        records = []
+        found = {}
+        for value, times in counts.items():
+            group = by_multiplicity.get(times)
+            if group is None:
+                group = by_multiplicity[times] = ReadStats()
+                group.cache = cache if log is None else log
+            first_access = 0 if log is None else len(log.keys)
+            first_record = len(records)
+            if use_pk:
+                raw = table.get_record(value, stats=group)
+                if raw is not None:
+                    records.append(raw)
+            else:
+                records.extend(table.index_lookup_raw(
+                    index_column, value, stats=group))
+            found[value] = range(first_record, len(records))
+            if log is not None:
+                spans[value] = (first_access, len(log.keys))
+        for times, group in by_multiplicity.items():
+            for name in _READ_COUNTERS:
+                setattr(stats, name,
+                        getattr(stats, name) + times * getattr(group, name))
+        if log is not None:
+            missed = cache.replay(
+                log.keys, log.sizes,
+                [spans[value] for value in keys if value is not None])
+            # The log answered every access with a miss, so the block
+            # charges so far are those of all accesses; with a cache
+            # attached they are the only source of these four counters.
+            index_misses = sum(1 for pos in missed
+                               if log.keys[pos][0] == INDEX_BLOCK)
+            stats.cache_hits = (stats.index_blocks_read
+                                + stats.data_blocks_read - len(missed))
+            stats.index_blocks_read = index_misses
+            stats.data_blocks_read = len(missed) - index_misses
+            stats.bytes_read = sum(log.sizes[pos] for pos in missed)
+        self.counters.absorb_read_stats(stats)
+        return records, found
 
     def _join_bnlj(self, outer, outer_row_bytes, entry):
         """Block nested loop with a hash table built in the join buffer.

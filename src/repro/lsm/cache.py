@@ -38,6 +38,55 @@ class BlockCache:
                 self._used -= evicted_bytes
         return False
 
+    def replay(self, keys, sizes, runs):
+        """Replay a recorded access sequence; returns the missed positions.
+
+        The sequence is ``keys[start:end]`` (with sizes ``sizes[start:end]``)
+        for each ``(start, end)`` in ``runs``, in order; a run may repeat.
+        The cache ends in exactly the state, and with exactly the hit and
+        miss counts, that calling :meth:`access` once per access would
+        leave.  The result lists the position in ``keys`` of every access
+        that missed, in access order.
+
+        When the blocks new to the cache fit beside what it holds, nothing
+        can be evicted: each new block misses once, at its first access,
+        and every other access hits, so the distinct runs are walked
+        instead of the whole sequence.
+        """
+        if self.capacity_bytes <= 0:
+            missed = [pos for start, end in runs for pos in range(start, end)]
+            self.misses += len(missed)
+            return missed
+        entries = self._entries
+        first_seen = {}                  # block new to the cache -> position
+        for start, end in dict.fromkeys(runs):
+            for pos in range(start, end):
+                key = keys[pos]
+                if key not in entries and key not in first_seen:
+                    first_seen[key] = pos
+        new_bytes = sum(sizes[pos] for pos in first_seen.values())
+        if self._used + new_bytes > self.capacity_bytes:
+            missed = []
+            access = self.access
+            for start, end in runs:
+                for pos in range(start, end):
+                    if not access(keys[pos], sizes[pos]):
+                        missed.append(pos)
+            return missed
+        for key, pos in first_seen.items():
+            entries[key] = sizes[pos]
+        self._used += new_bytes
+        # A block's LRU position is that of its last access: walk the
+        # runs in order of their last occurrence.
+        move_to_end = entries.move_to_end
+        for start, end in reversed(dict.fromkeys(reversed(runs))):
+            for pos in range(start, end):
+                move_to_end(keys[pos])
+        accesses = sum(end - start for start, end in runs)
+        self.misses += len(first_seen)
+        self.hits += accesses - len(first_seen)
+        return list(first_seen.values())
+
     @property
     def used_bytes(self):
         """Bytes currently cached."""

@@ -21,6 +21,12 @@ _ENTRY_HEADER = 8      # 4-byte key length + 4-byte value length
 _BLOCK_HEADER = 8
 _INDEX_ENTRY_OVERHEAD = 12
 
+#: First element of an index block's cache key ``(INDEX_BLOCK, sst_id)``.
+INDEX_BLOCK = "idx"
+#: First element of a data block's cache key
+#: ``(DATA_BLOCK, sst_id, offset)``.
+DATA_BLOCK = "blk"
+
 
 @dataclass
 class _DataBlock:
@@ -32,6 +38,7 @@ class _DataBlock:
     nbytes: int
     offset: int
     keys: list = None        # sorted key array for binary search
+    cache_key: tuple = None  # block-cache key, set by the owning SSTable
 
     def __post_init__(self):
         if self.keys is None:
@@ -128,6 +135,10 @@ class SSTable:
         self.nbytes = nbytes
         self.entry_count = entry_count
         self.extent = extent
+        # Block-cache keys are built once here, not on every access.
+        self._index_cache_key = (INDEX_BLOCK, sst_id)
+        for block in blocks:
+            block.cache_key = (DATA_BLOCK, sst_id, block.offset)
         # Fence pointers as plain attributes: SSTs are immutable, and the
         # read path touches these on every candidate/overlap check.
         #: Smallest key in the table (fence pointer).
@@ -169,7 +180,7 @@ class SSTable:
         if stats is None:
             return
         if stats.cache is not None and stats.cache.access(
-                ("idx", self.sst_id), self.index_bytes):
+                self._index_cache_key, self.index_bytes):
             stats.cache_hits += 1
             return
         stats.index_blocks_read += 1
@@ -179,7 +190,7 @@ class SSTable:
         if stats is None:
             return
         if stats.cache is not None and stats.cache.access(
-                ("blk", self.sst_id, block.offset), block.nbytes):
+                block.cache_key, block.nbytes):
             stats.cache_hits += 1
             return
         stats.data_blocks_read += 1

@@ -45,6 +45,14 @@ def small_lsm_config(**overrides):
     return LSMConfig(**defaults)
 
 
+def block_cache_state(cache):
+    """Everything observable about a block cache, LRU order included:
+    ``(entries in LRU order with sizes, bytes used, hits, misses)``."""
+    if cache is None:
+        return None
+    return list(cache._entries.items()), cache._used, cache.hits, cache.misses
+
+
 @pytest.fixture
 def flash():
     return FlashDevice()

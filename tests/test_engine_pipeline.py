@@ -6,12 +6,16 @@ import pytest
 from repro.engine.counters import WorkCounters
 from repro.engine.pipeline import (PipelineConfig, PipelineExecutor,
                                    finalize, predicate_cost)
+from repro.engine.rowref import RowPipelineExecutor
 from repro.errors import ExecutionError
 from repro.query.optimizer import build_plan
 from repro.query.parser import SelectItem
 from repro.query.ast import ColumnRef
+from repro.query.physical import AccessPath, JoinAlgorithm
+from repro.relational.catalog import Catalog
+from repro.relational.schema import TableSchema, char_col, int_col
 
-from tests.conftest import MINI_JOIN_SQL
+from tests.conftest import MINI_JOIN_SQL, block_cache_state
 
 
 def make_executor(catalog, **config):
@@ -125,6 +129,57 @@ class TestRun:
         warm_exec.run(plan.entries, plan.spec.tables)
         assert warm.flash_bytes_read < cold.flash_bytes_read
         assert warm.block_cache_hits > 0
+
+
+class TestBatchedKeyAccess:
+    """The index join's batched lookups against the row-at-a-time engine."""
+
+    def _colliding_catalog(self, kv_db):
+        # SST ids restart at 1 in every LSM tree, so the secondary index
+        # on item.grp and item's primary tree both hold an SST 1: their
+        # ("idx", 1) and ("blk", 1, 0) cache keys collide, with different
+        # block sizes.  Every secondary lookup touches the index tree's
+        # blocks first and the primary tree's last.
+        catalog = Catalog(kv_db)
+        catalog.create_table(TableSchema(
+            "probe", (int_col("id", False), int_col("ref")), "id"))
+        catalog.create_table(TableSchema(
+            "item", (int_col("id", False), int_col("grp"),
+                     char_col("pad", 40)), "id", ("grp",)))
+        items = catalog.table("item")
+        for i in range(60):
+            items.insert({"id": i, "grp": i % 6, "pad": f"item {i}"})
+        items.flush()
+        # The probe rows stay in their memtable, so the BNLJI call is the
+        # first to touch any block; keys repeat, and 4 has no match.
+        probe = catalog.table("probe")
+        for i, ref in enumerate([3, 1, 3, None, 5, 1, 4, 3]):
+            probe.insert({"id": i, "ref": ref})
+        index_sst, = items.index_on("grp").family.tree.levels.all_ssts()
+        primary_sst, = items.family.tree.levels.all_ssts()
+        assert index_sst.sst_id == primary_sst.sst_id
+        assert index_sst.index_bytes != primary_sst.index_bytes
+        return catalog
+
+    @pytest.mark.parametrize("cache_bytes", [1 << 20, 3000],
+                             ids=["fits", "evicts"])
+    def test_colliding_cache_keys_match_row_engine(self, kv_db, cache_bytes):
+        catalog = self._colliding_catalog(kv_db)
+        plan = build_plan("SELECT p.id, i.pad FROM probe AS p, item AS i "
+                          "WHERE p.ref = i.grp", catalog)
+        inner = plan.entry("i")
+        assert inner.join_algorithm is JoinAlgorithm.BNLJI
+        assert inner.access_path is AccessPath.SECONDARY_LOOKUP
+        config = PipelineConfig(block_cache_bytes=cache_bytes)
+        states = []
+        for engine in (PipelineExecutor, RowPipelineExecutor):
+            counters = WorkCounters()
+            executor = engine(catalog, config, counters)
+            executor.run(plan.entries, plan.spec.tables)
+            states.append((counters.as_dict(),
+                           block_cache_state(executor.block_cache)))
+        assert states[0] == states[1]
+        assert states[0][0]["index_seeks"] == 7
 
 
 class TestFinalize:

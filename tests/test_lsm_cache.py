@@ -1,6 +1,11 @@
 """Tests for the block cache."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.lsm.cache import BlockCache
+
+from tests.conftest import block_cache_state
 
 
 class TestBlockCache:
@@ -50,3 +55,44 @@ class TestBlockCache:
         cache.access("a", 1)
         cache.access("a", 1)
         assert cache.hit_rate() == 0.5
+
+
+# An access log of up to 12 accesses over 5 keys, whose sizes may differ
+# between accesses to the same key (colliding cache keys); runs are
+# slices of the log, repeated in any order.
+_LOGS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 60)),
+                 max_size=12)
+
+
+class TestReplay:
+    @given(log=_LOGS, data=st.data(), capacity=st.integers(0, 200),
+           warm=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 60)),
+                         max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_replay_matches_access_by_access(self, log, data, capacity,
+                                             warm):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(log)),
+                                         max_size=4)))
+        bounds = [0] + cuts + [len(log)]
+        spans = list(zip(bounds, bounds[1:]))
+        runs = data.draw(st.lists(st.sampled_from(spans), max_size=10))
+        keys = [key for key, _size in log]
+        sizes = [size for _key, size in log]
+        batched = BlockCache(capacity)
+        scalar = BlockCache(capacity)
+        for key, size in warm:
+            batched.access(key, size)
+            scalar.access(key, size)
+        missed = batched.replay(keys, sizes, runs)
+        expected = [pos for start, end in runs for pos in range(start, end)
+                    if not scalar.access(keys[pos], sizes[pos])]
+        assert missed == expected
+        assert block_cache_state(batched) == block_cache_state(scalar)
+
+    def test_new_block_keeps_its_first_size(self):
+        # No eviction: the fast path.  "a" is new, first seen at 10 bytes.
+        cache = BlockCache(1000)
+        missed = cache.replay(["a", "b", "a"], [10, 20, 30],
+                              [(0, 2), (2, 3)])
+        assert missed == [0, 1]
+        assert block_cache_state(cache) == ([("b", 20), ("a", 10)], 30, 1, 2)
